@@ -681,7 +681,7 @@ let fuzz_cmd =
       if failures = [] then
         Printf.printf
           "fuzz: %d case(s) from seed %d: no divergences across all engine x \
-           layout x fastpath combinations\n"
+           layout x tracer (batched/reference) combinations\n"
           cases seed
       else begin
         List.iter
@@ -757,7 +757,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: generated schemas, data and episodes run \
-          through every engine x layout x tracer-fastpath combination (plus \
+          through every engine x layout x tracer (batched/reference) \
+          combination (plus \
           morsel-parallel execution, metamorphic predicate rewrites and \
           crash recovery) and must match a reference oracle.  Failures are \
           shrunk to a minimal OCaml repro.  With $(b,--txn), fuzzes \

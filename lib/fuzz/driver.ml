@@ -2,14 +2,14 @@
 
      engine (volcano/bulk/vectorized/hyrise/jit + parallel) ×
      layout (NSM / DSM / the case's random PDSM) ×
-     tracer fastpath (on / off, sequential engines)
+     tracer (batched / reference, sequential engines)
 
    Every combination replays the whole episode against a fresh catalog and
    must (a) produce the oracle's result multiset for every query and the
    oracle's final table contents, (b) report byte-identical simulator
-   counters across fastpath modes, (c) satisfy the metamorphic invariants —
-   truth-preserving predicate rewrites keep results, and WAL + crash
-   recovery reproduces the live catalog digest.
+   counters on the batched and the reference tracer, (c) satisfy the
+   metamorphic invariants — truth-preserving predicate rewrites keep
+   results, and WAL + crash recovery reproduces the live catalog digest.
 
    [mutate] injects a deliberate comparison-weakening bug (Lt becomes Le)
    into one combination; the harness uses it to prove the oracle actually
@@ -24,7 +24,7 @@ module Engine = Engines.Engine
 module Runtime = Engines.Runtime
 
 type divergence = {
-  combo : string; (* e.g. "bulk/dsm/fast" *)
+  combo : string; (* e.g. "bulk/dsm/batched" *)
   statement : int; (* episode index, or -1 for end-of-episode checks *)
   detail : string;
 }
@@ -221,19 +221,27 @@ let stats_mismatch a b =
           else None)
     None (stats_fields a) (stats_fields b)
 
+(* The simulator tracer a combination's hierarchy is built with. *)
+type tracer = Batched | Reference
+
 (* Run the whole episode on a fresh catalog.  [domains] > 1 exercises the
-   morsel-parallel path; [fastpath] toggles the tracer fast path; [mutate]
-   injects the Lt->Le bug into query plans. *)
-let run_combo ?(mutate = false) ?(domains = 1) ?morsel_size ~engine ~mode
-    ~fastpath (c : Case.t) ~oracle:(per_stmt_oracle, dumps_oracle) =
+   morsel-parallel path; [tracer] picks the hierarchy's tracer (default the
+   batched one production uses); [mutate] injects the Lt->Le bug into query
+   plans. *)
+let run_combo ?(mutate = false) ?(domains = 1) ?morsel_size
+    ?(tracer = Batched) ~engine ~mode (c : Case.t)
+    ~oracle:(per_stmt_oracle, dumps_oracle) =
   let combo =
     Printf.sprintf "%s%s/%s/%s" (Engine.name engine)
       (if domains > 1 then Printf.sprintf "(x%d)" domains else "")
       (Case.layout_mode_name mode)
-      (if fastpath then "fast" else "slow")
+      (match tracer with Batched -> "batched" | Reference -> "reference")
   in
-  let hier = Memsim.Hierarchy.create () in
-  Memsim.Hierarchy.set_fastpath hier fastpath;
+  let hier =
+    match tracer with
+    | Batched -> Memsim.Hierarchy.create ()
+    | Reference -> Memsim.Hierarchy.reference ()
+  in
   let cat = build_catalog ~hier c mode in
   let divergences = ref [] in
   let stats = ref [] in
@@ -541,18 +549,17 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
           let mutate_here =
             mutate && engine = Engine.Bulk && mode = Case.Nsm
           in
-          let fast =
-            run_combo ~mutate:mutate_here ~engine ~mode ~fastpath:true c
+          let batched =
+            run_combo ~mutate:mutate_here ~engine ~mode c ~oracle
+          in
+          add batched.divergences;
+          let reference =
+            run_combo ~mutate:mutate_here ~tracer:Reference ~engine ~mode c
               ~oracle
           in
-          add fast.divergences;
-          let slow =
-            run_combo ~mutate:mutate_here ~engine ~mode ~fastpath:false c
-              ~oracle
-          in
-          add slow.divergences;
+          add reference.divergences;
           (* identical address streams => identical counters *)
-          if List.length fast.stats = List.length slow.stats then
+          if List.length batched.stats = List.length reference.stats then
             List.iteri
               (fun i (a, b) ->
                 match stats_mismatch a b with
@@ -561,7 +568,7 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
                       [
                         {
                           combo =
-                            Printf.sprintf "%s/%s/fastpath-counters"
+                            Printf.sprintf "%s/%s/tracer-counters"
                               (Engine.name engine)
                               (Case.layout_mode_name mode);
                           statement = i;
@@ -569,13 +576,13 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
                         };
                       ]
                 | None -> ())
-              (List.combine fast.stats slow.stats))
+              (List.combine batched.stats reference.stats))
         Engine.all;
       (* morsel-driven parallel execution over the same layouts; a small
          morsel size forces real multi-morsel merges even on tiny tables *)
       let par =
-        run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Jit ~mode
-          ~fastpath:true c ~oracle
+        run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Jit ~mode c
+          ~oracle
       in
       add par.divergences;
       (* compiled pipelines against the same oracle on a bounded mode
@@ -583,14 +590,14 @@ let run_case ?(mutate = false) ?(recovery = true) (c : Case.t) =
          every unsupported shape exercise the in-engine Jit fallback *)
       if mode = Case.Nsm || mode = Case.Comp then begin
         let comp =
-          run_combo ~engine:Engine.Compiled ~mode ~fastpath:true c ~oracle
+          run_combo ~engine:Engine.Compiled ~mode c ~oracle
         in
         add comp.divergences
       end;
       if mode = Case.Nsm then begin
         let comp_par =
           run_combo ~domains:2 ~morsel_size:16 ~engine:Engine.Compiled ~mode
-            ~fastpath:true c ~oracle
+            c ~oracle
         in
         add comp_par.divergences
       end)

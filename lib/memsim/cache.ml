@@ -144,63 +144,6 @@ let insert_pending t line =
 
 let mem t line = find t line >= 0
 
-(* Reference probes: the pre-batching implementation — mod-based set
-   indexing and separate find / victim walks — kept verbatim so the
-   hierarchy's MEMSIM_FASTPATH=0 path has the wall-clock profile of the
-   original tracer, not an optimized one.  Replacement decisions are
-   identical to [access]/[insert] by construction ([locate] is a fusion of
-   these two walks).  Note these do not maintain the [pending] flags (the
-   reference hierarchy tracks prefetched lines in a side table), so a cache
-   must be driven through either the reference or the optimized probes, not
-   a mix. *)
-
-let set_base_ref t line = line mod t.sets * t.assoc
-
-let find_ref t line =
-  let base = set_base_ref t line in
-  let rec go i =
-    if i >= t.assoc then -1
-    else if t.tags.(base + i) = line then base + i
-    else go (i + 1)
-  in
-  go 0
-
-let victim_ref t line =
-  let base = set_base_ref t line in
-  let rec go i best best_age =
-    if i >= t.assoc then best
-    else
-      let slot = base + i in
-      if t.tags.(slot) = -1 then slot
-      else if t.ages.(slot) < best_age then go (i + 1) slot t.ages.(slot)
-      else go (i + 1) best best_age
-  in
-  go 1 base t.ages.(base)
-
-let access_ref t line =
-  let slot = find_ref t line in
-  if slot >= 0 then begin
-    touch_slot t slot;
-    true
-  end
-  else begin
-    let v = victim_ref t line in
-    t.tags.(v) <- line;
-    touch_slot t v;
-    false
-  end
-
-let insert_ref t line =
-  let slot = find_ref t line in
-  if slot >= 0 then touch_slot t slot
-  else begin
-    let v = victim_ref t line in
-    t.tags.(v) <- line;
-    touch_slot t v
-  end
-
-let mem_ref t line = find_ref t line >= 0
-
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.ages 0 (Array.length t.ages) 0;

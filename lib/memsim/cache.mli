@@ -40,18 +40,6 @@ val insert_pending : t -> int -> unit
 val mem : t -> int -> bool
 (** [mem t line] is a lookup without any side effect. *)
 
-(** Reference probes: the pre-batching implementation (mod-based set
-    indexing, separate find and victim walks), kept verbatim so that the
-    hierarchy's per-word reference path measures the original tracer's wall
-    clock.  Decisions are identical to the optimized probes; the per-slot
-    pending flags are not maintained (the reference hierarchy tracks
-    prefetched lines in a side table), so drive a given cache through one
-    family of probes only. *)
-
-val access_ref : t -> int -> bool
-val insert_ref : t -> int -> unit
-val mem_ref : t -> int -> bool
-
 val clear : t -> unit
 
 val name : t -> string

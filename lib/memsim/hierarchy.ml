@@ -1,15 +1,12 @@
-type t = {
-  params : Params.t;
-  mutable tracing : bool;
-  mutable fastpath : bool;
+(* State of the batched tracer: the caches it probes with the optimized
+   single-pass [Cache] walks, per-slot prefetch pendingness, and the
+   last-probed memos that let repeat probes be skipped. *)
+type batched = {
   l1 : Cache.t;
   l2 : Cache.t;
   l3 : Cache.t;
   tlb : Cache.t;
   pf : Prefetcher.t;
-  pending_ref : (int, unit) Hashtbl.t;
-      (* prefetched-lines side table of the reference (fast path off)
-         tracer; the fast path keeps pendingness in per-slot cache flags *)
   stats : Stats.t;
   l1_bits : int;
   l2_bits : int;
@@ -31,31 +28,29 @@ type t = {
          read-modify-write word patterns (aggregate state updates) *)
 }
 
-(* Process-wide default for new hierarchies; MEMSIM_FASTPATH=0 turns the
-   run-batched fast path off everywhere so the whole bench harness can be
-   timed against the reference per-word decomposition. *)
-let default_fastpath () =
-  match Sys.getenv_opt "MEMSIM_FASTPATH" with
-  | Some "0" -> false
-  | _ -> true
+(* Fixed at construction: the two tracers represent prefetch pendingness
+   differently, so a hierarchy runs one of them for its whole life. *)
+type tracer = Batched of batched | Reference of Reference.t
 
-let create ?(params = Params.nehalem) () =
-  assert (Array.length params.levels = 3);
+type t = {
+  params : Params.t;
+  mutable tracing : bool;
+  stats : Stats.t;
+  tracer : tracer;
+}
+
+let create_batched (params : Params.t) stats =
   let l1 = Cache.create params.levels.(0) in
   let l2 = Cache.create params.levels.(1) in
   let l3 = Cache.create params.levels.(2) in
   let tlb = Cache.create params.tlb in
   {
-    params;
-    tracing = true;
-    fastpath = default_fastpath ();
     l1;
     l2;
     l3;
     tlb;
     pf = Prefetcher.create ~streams:params.prefetch_streams;
-    pending_ref = Hashtbl.create 1024;
-    stats = Stats.create ();
+    stats;
     l1_bits = Cache.block_bits l1;
     l2_bits = Cache.block_bits l2;
     l3_bits = Cache.block_bits l3;
@@ -70,6 +65,17 @@ let create ?(params = Params.nehalem) () =
     last_l1 = -1;
   }
 
+let make ?(params = Params.nehalem) tracer =
+  assert (Array.length params.levels = 3);
+  let stats = Stats.create () in
+  { params; tracing = true; stats; tracer = tracer params stats }
+
+let create ?params () =
+  make ?params (fun params stats -> Batched (create_batched params stats))
+
+let reference ?params () =
+  make ?params (fun params stats -> Reference (Reference.create params stats))
+
 let params t = t.params
 
 (* The L1→L2→LLC walk of one 8-byte-word probe, without the TLB lookup.
@@ -78,7 +84,7 @@ let params t = t.params
    TLB lookup would be a guaranteed hit that only refreshes an already-MRU
    entry — no counter, cost or replacement decision can differ.  Returns
    the cycle cost. *)
-let probe_word_no_tlb t a =
+let probe_word_no_tlb (t : batched) a =
   let s = t.stats in
   let l1_line = a lsr t.l1_bits in
   if l1_line = t.last_l1 then (* guaranteed hit, see [last_l1] *) t.l1_lat
@@ -127,7 +133,7 @@ let probe_word_no_tlb t a =
   end
 
 (* One 8-byte-word probe of the full hierarchy.  Returns the cycle cost. *)
-let probe_word t a =
+let probe_word (t : batched) a =
   let page = a lsr t.tlb_bits in
   let tlb_cost =
     if page = t.last_tlb then (* guaranteed hit, see [last_tlb] *) 0
@@ -142,80 +148,10 @@ let probe_word t a =
   in
   tlb_cost + probe_word_no_tlb t a
 
-(* Reference tracer: the original (pre-batching) per-word walk, kept
-   verbatim — mod-based set indexing, two-pass find/victim walks, the
-   prefetched-line side table, a TLB probe per L1-line group.  It is the
-   "before" that MEMSIM_FASTPATH=0 measures and the independent
-   implementation the identity tests compare the batched path against.
-   Counters and cycles are identical to the fast path by the arguments on
-   [touch_fast]/[touch_run_fast] below; only the wall-clock profile
-   differs.  A hierarchy must run one path from creation: the two represent
-   prefetch pendingness differently, so flipping mid-stream is unsound. *)
-let probe_word_ref t a =
-  let s = t.stats in
-  let cost = ref t.l1_lat in
-  if not (Cache.access_ref t.tlb (a lsr t.tlb_bits)) then begin
-    s.tlb_misses <- s.tlb_misses + 1;
-    cost := !cost + t.tlb_lat
-  end;
-  if not (Cache.access_ref t.l1 (a lsr t.l1_bits)) then begin
-    s.l1_misses <- s.l1_misses + 1;
-    cost := !cost + t.l2_lat;
-    if not (Cache.access_ref t.l2 (a lsr t.l2_bits)) then begin
-      s.l2_misses <- s.l2_misses + 1;
-      cost := !cost + t.l3_lat;
-      let line = a lsr t.l3_bits in
-      s.llc_accesses <- s.llc_accesses + 1;
-      if Cache.access_ref t.l3 line then begin
-        if Hashtbl.mem t.pending_ref line then begin
-          s.llc_seq_misses <- s.llc_seq_misses + 1;
-          Hashtbl.remove t.pending_ref line
-        end
-      end
-      else begin
-        Hashtbl.remove t.pending_ref line;
-        s.llc_rand_misses <- s.llc_rand_misses + 1;
-        cost := !cost + t.mem_lat
-      end;
-      match Prefetcher.observe t.pf line with
-      | Some p ->
-          if not (Cache.mem_ref t.l3 p) then begin
-            Cache.insert_ref t.l3 p;
-            Hashtbl.replace t.pending_ref p ();
-            s.prefetches <- s.prefetches + 1
-          end
-      | None -> ()
-    end
-  end;
-  !cost
-
-let touch_ref t ~addr ~width ~is_write =
+let touch_batched (t : batched) ~addr ~width ~is_write =
   let s = t.stats in
   let first = addr lsr 3 and last = (addr + width - 1) lsr 3 in
-  if first = last then begin
-    s.accesses <- s.accesses + 1;
-    if is_write then s.writes <- s.writes + 1 else s.reads <- s.reads + 1;
-    s.mem_cycles <- s.mem_cycles + probe_word_ref t (first lsl 3)
-  end
-  else begin
-    let group_bits = min t.l1_bits t.tlb_bits - 3 in
-    let group_mask = (1 lsl max 0 group_bits) - 1 in
-    let w = ref first in
-    while !w <= last do
-      let g_last = min last (!w lor group_mask) in
-      let k = g_last - !w + 1 in
-      s.accesses <- s.accesses + k;
-      if is_write then s.writes <- s.writes + k else s.reads <- s.reads + k;
-      let c = probe_word_ref t (!w lsl 3) in
-      s.mem_cycles <- s.mem_cycles + c + ((k - 1) * t.l1_lat);
-      w := g_last + 1
-    done
-  end
-
-let touch_fast t ~addr ~width ~is_write =
-  let s = t.stats in
-  let first = addr lsr 3 and last = (addr + width - 1) lsr 3 in
-  (* Fast path: words sharing one L1 line (and hence one TLB page, as lines
+  (* Words sharing one L1 line (and hence one TLB page, as lines
      never span pages) after the first are guaranteed L1+TLB hits — the first
      probe either hit or just filled line and page.  Probing them would only
      refresh the recency of entries that are already most-recently-used, so
@@ -271,7 +207,7 @@ let touch_fast t ~addr ~width ~is_write =
    resident and MRU.  Every skipped word still accounts one access at L1
    latency, so counters and cycles are byte-identical to the per-word loop.
    State is tracked only within one call: the first access always probes. *)
-let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
+let touch_run_batched (t : batched) ~addr ~width ~count ~stride ~is_write =
   let s = t.stats in
   let group_bits = max 0 (min t.l1_bits t.tlb_bits - 3) in
   let group_mask = (1 lsl group_bits) - 1 in
@@ -354,21 +290,16 @@ let touch_run_fast t ~addr ~width ~count ~stride ~is_write =
   s.mem_cycles <- s.mem_cycles + !cycles
 
 let touch t ~addr ~width ~is_write =
-  if t.fastpath then touch_fast t ~addr ~width ~is_write
-  else touch_ref t ~addr ~width ~is_write
-
-(* The reference semantics of a run: the plain per-word loop over the
-   reference tracer.  Kept as the slow path so identity tests and the
-   tracefast bench can toggle between the two on the same access stream. *)
-let touch_run_slow t ~addr ~width ~count ~stride ~is_write =
-  for i = 0 to count - 1 do
-    touch_ref t ~addr:(addr + (i * stride)) ~width ~is_write
-  done
+  match t.tracer with
+  | Batched b -> touch_batched b ~addr ~width ~is_write
+  | Reference r -> Reference.touch_ref r ~addr ~width ~is_write
 
 let touch_run t ~addr ~width ~count ~stride ~is_write =
   if count > 0 && width > 0 then
-    if t.fastpath then touch_run_fast t ~addr ~width ~count ~stride ~is_write
-    else touch_run_slow t ~addr ~width ~count ~stride ~is_write
+    match t.tracer with
+    | Batched b -> touch_run_batched b ~addr ~width ~count ~stride ~is_write
+    | Reference r ->
+        Reference.touch_run_slow r ~addr ~width ~count ~stride ~is_write
 
 let read t ~addr ~width =
   if t.tracing then touch t ~addr ~width ~is_write:false
@@ -387,9 +318,6 @@ let add_cpu t n = if t.tracing then t.stats.cpu_cycles <- t.stats.cpu_cycles + n
 let set_enabled t b = t.tracing <- b
 let enabled t = t.tracing
 
-let set_fastpath t b = t.fastpath <- b
-let fastpath t = t.fastpath
-
 let without_tracing t f =
   let prev = t.tracing in
   t.tracing <- false;
@@ -406,12 +334,14 @@ let reset_stats t = Stats.reset t.stats
 
 let reset t =
   Stats.reset t.stats;
-  Cache.clear t.l1;
-  Cache.clear t.l2;
-  Cache.clear t.l3;
-  Cache.clear t.tlb;
-  Prefetcher.clear t.pf;
-  Hashtbl.reset t.pending_ref;
-  t.last_tlb <- -1;
-  t.last_l2 <- -1;
-  t.last_l1 <- -1
+  match t.tracer with
+  | Batched b ->
+      Cache.clear b.l1;
+      Cache.clear b.l2;
+      Cache.clear b.l3;
+      Cache.clear b.tlb;
+      Prefetcher.clear b.pf;
+      b.last_tlb <- -1;
+      b.last_l2 <- -1;
+      b.last_l1 <- -1
+  | Reference r -> Reference.clear r

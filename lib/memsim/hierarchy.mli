@@ -10,7 +10,18 @@
 type t
 
 val create : ?params:Params.t -> unit -> t
-(** [create ()] uses {!Params.nehalem}. *)
+(** [create ()] uses {!Params.nehalem}.  The hierarchy traces with the
+    run-batched tracer. *)
+
+val reference : ?params:Params.t -> unit -> t
+(** A hierarchy that traces, for its whole life, with the reference per-word
+    tracer: the original pre-batching walk (mod-based set indexing, two-pass
+    find/victim walks, a prefetched-line side table), with {!read_run} and
+    {!write_run} decomposed into the literal per-element loop.  Counters and
+    cycles equal those of {!create} on the same access stream; only the
+    wall-clock differs.  It exists to check that claim: the identity tests,
+    the fuzz driver's tracer-counter axis and the [tracefast] bench build
+    it, production code does not. *)
 
 val params : t -> Params.t
 
@@ -36,22 +47,6 @@ val read_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
 
 val write_run : t -> addr:int -> width:int -> count:int -> stride:int -> unit
 (** Store version of {!read_run}. *)
-
-val set_fastpath : t -> bool -> unit
-(** When the fast path is off, all tracing runs on the reference per-word
-    tracer — the original pre-batching implementation, kept verbatim
-    (mod-based set indexing, two-pass find/victim walks, prefetched-line
-    side table) — and {!read_run}/{!write_run} decompose into the literal
-    per-word loop.  Used by identity tests and the [tracefast] bench to
-    verify zero counter drift on the same access stream and to measure the
-    batching speedup against the true before.  Default: on, unless the
-    environment variable [MEMSIM_FASTPATH] is ["0"] at {!create} time — the
-    bench harness uses that to time whole experiments against the reference
-    decomposition.  Choose the path before the first traced access: the two
-    tracers represent prefetch pendingness differently, so flipping
-    mid-stream (on a non-empty hierarchy) is unsound. *)
-
-val fastpath : t -> bool
 
 val add_cpu : t -> int -> unit
 (** Charge [n] CPU cycles of instruction work (predicate evaluation, hashing,

@@ -272,16 +272,23 @@ let accept_loop srv listen_fd =
   let domains = ref [] in
   (try
      while not (Atomic.get srv.stop) do
-       let fd, _ = Unix.accept listen_fd in
-       Obs.Metrics.incr m_connections;
-       if Atomic.get srv.stop then (try Unix.close fd with _ -> ())
-       else if Atomic.get srv.active >= srv.max_clients then
-         shed fd srv.max_clients
-       else begin
-         Atomic.incr srv.active;
-         Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active));
-         domains := Domain.spawn (fun () -> handle_client srv fd) :: !domains
-       end
+       match Unix.accept listen_fd with
+       | exception Unix.Unix_error (Unix.EINTR, _, _) ->
+           (* a signal (say the SIGTERM handler that stops us) interrupted
+              accept(2): loop to re-check the stop flag *)
+           ()
+       | fd, _ ->
+           Obs.Metrics.incr m_connections;
+           if Atomic.get srv.stop then (try Unix.close fd with _ -> ())
+           else if Atomic.get srv.active >= srv.max_clients then
+             shed fd srv.max_clients
+           else begin
+             Atomic.incr srv.active;
+             Obs.Metrics.set m_active_clients
+               (float_of_int (Atomic.get srv.active));
+             domains :=
+               Domain.spawn (fun () -> handle_client srv fd) :: !domains
+           end
      done
    with Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
      (* the shutdown path closed the listening socket under us *)

@@ -192,8 +192,7 @@ let test_compressed_case () =
 let compressed_per_engine engine () =
   let oracle = Fuzz.Driver.oracle_results compressed_case in
   let out =
-    Fuzz.Driver.run_combo ~engine ~mode:Case.Comp ~fastpath:true
-      compressed_case ~oracle
+    Fuzz.Driver.run_combo ~engine ~mode:Case.Comp compressed_case ~oracle
   in
   match out.Fuzz.Driver.divergences with
   | [] -> ()
@@ -202,12 +201,11 @@ let compressed_per_engine engine () =
 
 (* The new-corpus-on-shared-runner entry: the pinned case, one Alcotest case
    per engine via [Helpers.across_engines], each engine checked directly
-   against the oracle on NSM with the fast path on. *)
+   against the oracle on NSM with the batched tracer. *)
 let boundary_per_engine engine () =
   let oracle = Fuzz.Driver.oracle_results boundary_case in
   let out =
-    Fuzz.Driver.run_combo ~engine ~mode:Case.Nsm ~fastpath:true boundary_case
-      ~oracle
+    Fuzz.Driver.run_combo ~engine ~mode:Case.Nsm boundary_case ~oracle
   in
   match out.Fuzz.Driver.divergences with
   | [] -> ()

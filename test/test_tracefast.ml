@@ -1,8 +1,9 @@
 (* Run-batched tracing identity: Hierarchy.read_run/write_run must leave
    counters, cycles and all cache state byte-identical to the per-word
    touch loop they replace — checked on random access-run sequences against
-   the slow path, and end-to-end on every engine under NSM/DSM/PDSM with the
-   fast path toggled. *)
+   a reference hierarchy (Hierarchy.reference), end-to-end on every engine
+   under NSM/DSM/PDSM on both tracers, and per Buffer run accessor against
+   the loop of single-element accessors it replaces. *)
 
 module Stats = Memsim.Stats
 module Hierarchy = Memsim.Hierarchy
@@ -13,7 +14,7 @@ let stats_equal (a : Stats.t) (b : Stats.t) = a = b
 let stats_testable = Alcotest.testable Stats.pp stats_equal
 
 (* ------------------------------------------------------------------ *)
-(* Property: random mixed run sequences, fast path vs per-word loop    *)
+(* Property: random mixed run sequences, batched vs reference tracer  *)
 (* ------------------------------------------------------------------ *)
 
 type op = { write : bool; addr : int; width : int; count : int; stride : int }
@@ -39,8 +40,7 @@ let qcheck_run_identity =
     (QCheck.make gen)
     (fun ops ->
       let fast = Hierarchy.create () in
-      let slow = Hierarchy.create () in
-      Hierarchy.set_fastpath slow false;
+      let slow = Hierarchy.reference () in
       List.iter (apply fast) ops;
       List.iter (apply slow) ops;
       stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow))
@@ -58,8 +58,7 @@ let qcheck_run_identity_interleaved =
     (QCheck.make gen)
     (fun ops ->
       let fast = Hierarchy.create () in
-      let slow = Hierarchy.create () in
-      Hierarchy.set_fastpath slow false;
+      let slow = Hierarchy.reference () in
       let drive h =
         List.iter
           (fun (op, a) ->
@@ -72,7 +71,7 @@ let qcheck_run_identity_interleaved =
       stats_equal (Hierarchy.snapshot fast) (Hierarchy.snapshot slow))
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: every engine, every storage model, fast vs slow         *)
+(* End-to-end: every engine, every storage model, both tracers        *)
 (* ------------------------------------------------------------------ *)
 
 let layouts () =
@@ -87,10 +86,9 @@ let layouts () =
    the catalog's arena, so repeated runs on one catalog see different
    absolute addresses — and thus different cache *set* indices — making even
    two identical runs drift by a conflict miss.  A fresh deterministic build
-   per run puts both paths on byte-identical address streams. *)
-let measure_with ~fastpath ~n ~layout ~sel engine =
-  let hier = Hierarchy.create () in
-  Hierarchy.set_fastpath hier fastpath;
+   per run puts both tracers on byte-identical address streams. *)
+let measure_with hierarchy ~n ~layout ~sel engine =
+  let hier = hierarchy () in
   let cat = Workloads.Microbench.build ~hier ~n () in
   Storage.Catalog.set_layout cat "R" layout;
   let plan = Workloads.Microbench.plan cat ~sel in
@@ -103,10 +101,10 @@ let test_engine_identity engine () =
       List.iter
         (fun sel ->
           let r_fast, s_fast =
-            measure_with ~fastpath:true ~n:3_000 ~layout ~sel engine
+            measure_with Hierarchy.create ~n:3_000 ~layout ~sel engine
           in
           let r_slow, s_slow =
-            measure_with ~fastpath:false ~n:3_000 ~layout ~sel engine
+            measure_with Hierarchy.reference ~n:3_000 ~layout ~sel engine
           in
           Alcotest.(check (list Helpers.row_testable))
             (Printf.sprintf "%s/%s sel=%g rows" lname (Engine.name engine) sel)
@@ -118,18 +116,128 @@ let test_engine_identity engine () =
     (layouts ())
 
 (* One traced fig3 point end-to-end (select + aggregate, JiT on PDSM at the
-   fig3 scale shape), fast vs slow. *)
+   fig3 scale shape), batched vs reference. *)
 let test_fig3_point () =
   let layout = Workloads.Microbench.pdsm_layout in
   let r_fast, s_fast =
-    measure_with ~fastpath:true ~n:20_000 ~layout ~sel:0.1 Engine.Jit
+    measure_with Hierarchy.create ~n:20_000 ~layout ~sel:0.1 Engine.Jit
   in
   let r_slow, s_slow =
-    measure_with ~fastpath:false ~n:20_000 ~layout ~sel:0.1 Engine.Jit
+    measure_with Hierarchy.reference ~n:20_000 ~layout ~sel:0.1 Engine.Jit
   in
   Helpers.check_rows "fig3 point rows" r_slow.Engines.Runtime.rows
     r_fast.Engines.Runtime.rows;
   Alcotest.check stats_testable "fig3 point stats" s_slow s_fast
+
+(* ------------------------------------------------------------------ *)
+(* Buffer run accessors = the single-element loops they replace        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every run accessor traces its whole run with one [Hierarchy.read_run] /
+   [write_run] call, on either tracer.  That is only sound if the result is
+   the [Stats] the loop of single-element accessors produces, so check it
+   per accessor on random op sequences, twice: once on a batched and once
+   on a reference hierarchy. *)
+
+module B = Storage.Buffer
+
+(* A run accessor beside the single-element accessor it replaces; [single b
+   off i] handles element [i] at [off]. *)
+type accessor = {
+  width : int;
+  run : B.t -> int -> stride:int -> count:int -> unit;
+  single : B.t -> int -> int -> unit;
+}
+
+let int_at i = (i * 7919) - 3
+
+let value_at (ty : V.ty) i =
+  match ty with
+  | Int -> V.VInt (int_at i)
+  | Date -> V.VDate (i * 31)
+  | Float -> V.VFloat (float_of_int i *. 0.5)
+  | Bool -> V.VBool (i mod 3 = 0)
+  | Varchar _ -> V.VStr (Printf.sprintf "s%d" i)
+
+let accessors =
+  let acc width run single = { width; run; single } in
+  let uint width =
+    acc width
+      (fun b off ~stride ~count ->
+        B.read_uint_run b off ~width ~stride ~count (Array.make count 0))
+      (fun b off _ -> ignore (B.read_uint b off ~width))
+  in
+  let value (ty : V.ty) =
+    let width =
+      match ty with Int | Date | Float -> 8 | Bool -> 1 | Varchar n -> n
+    in
+    [
+      acc width
+        (fun b off ~stride ~count ->
+          B.read_value_run b off ~stride ~ty ~count (Array.make count V.Null))
+        (fun b off _ -> ignore (B.read_value b off ~ty ~nullable:false));
+      acc width
+        (fun b off ~stride ~count ->
+          B.write_value_run b off ~stride ~ty ~count
+            (Array.init count (value_at ty)))
+        (fun b off i -> B.write_value b off ~ty ~nullable:false (value_at ty i));
+    ]
+  in
+  [
+    acc 8
+      (fun b off ~stride ~count ->
+        B.read_int_run b off ~stride ~count (Array.make count 0))
+      (fun b off _ -> ignore (B.read_int b off));
+    acc 8
+      (fun b off ~stride ~count ->
+        B.write_int_run b off ~stride ~count (Array.init count int_at))
+      (fun b off i -> B.write_int b off (int_at i));
+    acc 8
+      (fun b off ~stride ~count ->
+        B.read_float_run b off ~stride ~count (Array.make count 0.))
+      (fun b off _ -> ignore (B.read_float b off));
+    acc 8
+      (fun b off ~stride ~count ->
+        B.write_float_run b off ~stride ~count
+          (Array.init count float_of_int))
+      (fun b off i -> B.write_float b off (float_of_int i));
+  ]
+  @ List.map uint [ 1; 2; 4; 8 ]
+  @ List.concat_map value
+      [ V.Int; V.Date; V.Float; V.Bool; V.Varchar 5; V.Varchar 23 ]
+
+(* (accessor, offset, stride, count); the buffer holds any generated run *)
+let buf_op_gen =
+  QCheck.Gen.(
+    let* a = oneofl accessors in
+    let* off = int_range 0 4096 in
+    let* stride = int_range 1 (a.width + 40) in
+    let* count = int_range 0 64 in
+    return (a, off, stride, count))
+
+let buf_size = 4096 + (64 * 64)
+
+let qcheck_buffer_runs (tracer, hierarchy) =
+  QCheck.Test.make ~count:150
+    ~name:
+      (Printf.sprintf "buffer run accessors = single-element loops [%s]"
+         tracer)
+    (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 20) buf_op_gen))
+    (fun ops ->
+      let fresh () =
+        let hier = hierarchy () in
+        (hier, B.create (Storage.Arena.create ()) ~hier buf_size)
+      in
+      let h_run, b_run = fresh () and h_loop, b_loop = fresh () in
+      List.for_all
+        (fun (a, off, stride, count) ->
+          a.run b_run off ~stride ~count;
+          for i = 0 to count - 1 do
+            a.single b_loop (off + (i * stride)) i
+          done;
+          stats_equal (Hierarchy.snapshot h_run) (Hierarchy.snapshot h_loop)
+          && Bytes.equal (B.unsafe_bytes b_run) (B.unsafe_bytes b_loop))
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Relation.reslice window rules                                       *)
@@ -160,6 +268,12 @@ let test_reslice () =
 let suite =
   QCheck_alcotest.to_alcotest qcheck_run_identity
   :: QCheck_alcotest.to_alcotest qcheck_run_identity_interleaved
-  :: Alcotest.test_case "fig3 point traced fast=slow" `Quick test_fig3_point
+  :: List.map
+       (fun t -> QCheck_alcotest.to_alcotest (qcheck_buffer_runs t))
+       [
+         ("batched", fun () -> Hierarchy.create ());
+         ("reference", fun () -> Hierarchy.reference ());
+       ]
+  @ Alcotest.test_case "fig3 point traced fast=slow" `Quick test_fig3_point
   :: Alcotest.test_case "reslice window" `Quick test_reslice
   :: Helpers.across_engines "engine identity" test_engine_identity

@@ -508,6 +508,57 @@ let with_server ?(max_clients = 4) ?txn_timeout cat f =
       try Unix.unlink path with Unix.Unix_error _ -> ())
     (fun () -> f mgr (Txn.Client.Unix_sock path))
 
+(* mrdb_server stops on SIGTERM with a handler that stops the server and
+   closes the listening socket.  A signal that lands while the accept loop
+   sits in accept(2) makes it fail with EINTR; the loop must re-check the
+   stop flag and return instead of dying with [Unix_error (EINTR, "accept")].
+   Here a SIGALRM plays the SIGTERM, against a loop on the main domain (the
+   thread the kernel delivers a process signal to).  A watchdog bounds the
+   test should the signal ever miss accept(2). *)
+let test_server_signal_during_accept () =
+  let srv = S.create (M.create (small_cat ())) in
+  incr sock_ctr;
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "mrdb-test-%d-%d.sock" (Unix.getpid ()) !sock_ctr)
+  in
+  let fd = S.listen_unix path in
+  let by_signal = Atomic.make false in
+  let shutdown _ =
+    Atomic.set by_signal true;
+    S.stop srv;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let finished = Atomic.make false in
+  let watchdog =
+    Domain.spawn (fun () ->
+        let t0 = Unix.gettimeofday () in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 10. do
+          Unix.sleepf 0.01
+        done;
+        if not (Atomic.get finished) then begin
+          S.stop srv;
+          S.poke path
+        end)
+  in
+  let timer it_value =
+    ignore (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value })
+  in
+  let prev = Sys.signal Sys.sigalrm (Sys.Signal_handle shutdown) in
+  Fun.protect
+    ~finally:(fun () ->
+      timer 0.;
+      Sys.set_signal Sys.sigalrm prev;
+      Atomic.set finished true;
+      Domain.join watchdog;
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      timer 0.05;
+      S.accept_loop srv fd;
+      Alcotest.(check bool) "stopped by the signal handler" true
+        (Atomic.get by_signal && S.stopped srv))
+
 let str_schema =
   Schema.make "s" [ ("id", V.Int); ("name", V.Varchar 12) ]
 
@@ -710,6 +761,8 @@ let suite =
     Alcotest.test_case "server: admission gate sheds with BUSY" `Quick
       test_server_busy;
     Alcotest.test_case "server: per-txn timeout" `Quick test_server_timeout;
+    Alcotest.test_case "server: signal during accept stops cleanly" `Quick
+      test_server_signal_during_accept;
     Alcotest.test_case "server: idempotent commit token" `Quick
       test_server_idempotent_commit;
     Alcotest.test_case "advisor repartition races live transactions" `Quick
