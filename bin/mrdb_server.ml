@@ -229,6 +229,10 @@ let run_serve ~db ~scale ~accounts ~socket ~port ~max_clients ~txn_timeout
   in
   Sys.set_signal Sys.sigint (Sys.Signal_handle shutdown);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle shutdown);
+  (* a client that hangs up before reading its reply must cost only its own
+     connection: the reply's write then fails with EPIPE, where SIGPIPE
+     would end the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Printf.printf "mrdb_server: serving %s on %s (max %d clients%s%s)\n%!" db
     where max_clients
     (match txn_timeout with

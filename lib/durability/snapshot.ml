@@ -3,7 +3,8 @@
    watermark (the last transaction id the snapshot covers).
 
    Wire format:  u32 payload length | u32 CRC-32 | payload
-   where the payload is  magic "MRDBSNP1" | i64 last_txid | catalog state.
+   where the payload is  magic "MRDBSNP2" | uvar last_txid | catalog state,
+   all in [Codec] fields (varint ints), and must end with its last table.
 
    A checkpoint writes the snapshot to a temporary store, flushes, then
    atomically renames it over the previous snapshot — so at every crash
@@ -16,7 +17,7 @@ module Relation = Storage.Relation
 module Layout = Storage.Layout
 module Schema = Storage.Schema
 
-let magic = "MRDBSNP1"
+let magic = "MRDBSNP2"
 let store_name = "snapshot"
 let tmp_name = "snapshot.tmp"
 
@@ -32,14 +33,14 @@ let untraced cat f =
 let serialize_state cat =
   let w = Codec.writer () in
   let names = Catalog.names cat in
-  Codec.u32 w (List.length names);
+  Codec.uvar w (List.length names);
   List.iter
     (fun name ->
       let rel = Catalog.find cat name in
       Codec.schema w (Relation.schema rel);
       Codec.layout_groups w (Layout.to_groups (Relation.layout rel));
       Codec.encodings w (Relation.encodings rel);
-      Codec.i64 w (Relation.nrows rel);
+      Codec.uvar w (Relation.nrows rel);
       (* rows are written raw — the arity is known from the schema *)
       Relation.iter_rows rel (fun _ row -> Array.iter (Codec.value w) row);
       let defs =
@@ -56,7 +57,7 @@ let serialize_state cat =
 
 let serialize_payload ~last_txid cat =
   let w = Codec.writer () in
-  Codec.i64 w last_txid;
+  Codec.uvar w last_txid;
   Codec.contents w ^ serialize_state cat
 
 let digest cat = Digest.to_hex (Digest.string (serialize_state cat))
@@ -64,13 +65,13 @@ let digest cat = Digest.to_hex (Digest.string (serialize_state cat))
 let deserialize_state ?hier r =
   let cat = Catalog.create ?hier () in
   let apply () =
-    let ntables = Codec.ru32 r in
+    let ntables = Codec.ruvar r in
     for _ = 1 to ntables do
       let schema = Codec.rschema r in
       let groups = Codec.rlayout_groups r in
       let encodings = Codec.rencodings r in
       let layout = Layout.of_indices schema groups in
-      let nrows = Codec.ri64 r in
+      let nrows = Codec.ruvar r in
       let rel = Catalog.add ~encodings cat schema layout in
       for _ = 1 to nrows do
         let row =
@@ -98,8 +99,9 @@ let deserialize_state ?hier r =
 
 let deserialize_payload ?hier payload =
   let r = Codec.reader (Bytes.unsafe_of_string payload) in
-  let last_txid = Codec.ri64 r in
+  let last_txid = Codec.ruvar r in
   let cat = deserialize_state ?hier r in
+  Codec.expect_end r;
   (cat, last_txid)
 
 (* ------------------------------------------------------------------ *)

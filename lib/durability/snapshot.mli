@@ -22,7 +22,8 @@ val serialize_payload : last_txid:int -> Storage.Catalog.t -> string
 val deserialize_payload :
   ?hier:Memsim.Hierarchy.t -> string -> Storage.Catalog.t * int
 (** Rebuild a catalog (and its watermark) from {!serialize_payload} bytes.
-    Runs untraced.  @raise Codec.Truncated on malformed input. *)
+    Runs untraced.  @raise Codec.Truncated on malformed input, including
+    bytes left after the last table. *)
 
 val digest : Storage.Catalog.t -> string
 (** Hex digest of {!serialize_state} — the value-identity oracle used by

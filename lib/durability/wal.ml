@@ -5,10 +5,13 @@
 
      u32 payload length | u32 CRC-32 of payload | payload
 
-   The payload's first byte tags the record kind; operations carry the txid
-   of their enclosing transaction.  Commit is the durability point: the
-   manager flushes the sink on commit, so a crash can only lose or tear
-   records of uncommitted transactions (which recovery discards anyway).
+   The payload's first byte tags the record kind, followed by the txid as a
+   [Codec.uvar]; operations carry the txid of their enclosing transaction
+   and then their own tag and [Codec] fields (varint ints, length-prefixed
+   strings and rows).  A payload with bytes left after its last field does
+   not decode.  Commit is the durability point: the manager flushes the
+   sink on commit, so a crash can only lose or tear records of uncommitted
+   transactions (which recovery discards anyway).
 
    Scanning is resilient: a torn tail (short header, impossible length,
    truncated payload at the end of the log) ends the scan; a record whose
@@ -75,8 +78,8 @@ let encode_op w = function
   | Update { table; tid; attr; value } ->
       Codec.u8 w 4;
       Codec.str w table;
-      Codec.i64 w tid;
-      Codec.u32 w attr;
+      Codec.uvar w tid;
+      Codec.uvar w attr;
       Codec.value w value
   | Set_layout { table; layout } ->
       Codec.u8 w 5;
@@ -115,8 +118,8 @@ let decode_op r =
       Load { table; rows }
   | 4 ->
       let table = Codec.rstr r in
-      let tid = Codec.ri64 r in
-      let attr = Codec.ru32 r in
+      let tid = Codec.ruvar r in
+      let attr = Codec.ruvar r in
       let value = Codec.rvalue r in
       Update { table; tid; attr; value }
   | 5 ->
@@ -141,33 +144,37 @@ let encode record =
   (match record with
   | Begin txid ->
       Codec.u8 w 1;
-      Codec.i64 w txid
+      Codec.uvar w txid
   | Commit txid ->
       Codec.u8 w 2;
-      Codec.i64 w txid
+      Codec.uvar w txid
   | Abort txid ->
       Codec.u8 w 3;
-      Codec.i64 w txid
+      Codec.uvar w txid
   | Op { txid; op } ->
       Codec.u8 w 4;
-      Codec.i64 w txid;
+      Codec.uvar w txid;
       encode_op w op
   | Prepare txid ->
       Codec.u8 w 5;
-      Codec.i64 w txid);
+      Codec.uvar w txid);
   Codec.contents w
 
 let decode r =
-  match Codec.ru8 r with
-  | 1 -> Begin (Codec.ri64 r)
-  | 2 -> Commit (Codec.ri64 r)
-  | 3 -> Abort (Codec.ri64 r)
-  | 4 ->
-      let txid = Codec.ri64 r in
-      let op = decode_op r in
-      Op { txid; op }
-  | 5 -> Prepare (Codec.ri64 r)
-  | t -> raise (Codec.Truncated (Printf.sprintf "record: unknown tag %d" t))
+  let record =
+    match Codec.ru8 r with
+    | 1 -> Begin (Codec.ruvar r)
+    | 2 -> Commit (Codec.ruvar r)
+    | 3 -> Abort (Codec.ruvar r)
+    | 4 ->
+        let txid = Codec.ruvar r in
+        let op = decode_op r in
+        Op { txid; op }
+    | 5 -> Prepare (Codec.ruvar r)
+    | t -> raise (Codec.Truncated (Printf.sprintf "record: unknown tag %d" t))
+  in
+  Codec.expect_end r;
+  record
 
 let decode_string s = decode (Codec.reader (Bytes.unsafe_of_string s))
 

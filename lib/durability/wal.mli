@@ -1,8 +1,8 @@
 (** The write-ahead log: length-prefixed, checksummed, transaction-framed
     records for every logical mutation of the catalog.
 
-    Wire format per record: [u32 payload length | u32 CRC-32 | payload].
-    Commit is the durability point — the manager flushes on commit, so a
+    Wire format per record: [u32 payload length | u32 CRC-32 | payload],
+    the payload in {!Codec} fields (varint ints).  Commit is the durability point — the manager flushes on commit, so a
     crash only loses or tears uncommitted records, which recovery discards
     anyway. *)
 
@@ -50,7 +50,15 @@ val encode : record -> string
 (** Payload bytes (unframed). *)
 
 val decode_string : string -> record
-(** Inverse of {!encode}. @raise Codec.Truncated on malformed payloads. *)
+(** Inverse of {!encode}. @raise Codec.Truncated on malformed payloads,
+    including one with bytes left after its last field. *)
+
+val encode_op : Codec.writer -> op -> unit
+(** One operation's tag and fields, as they appear inside an [Op] record —
+    also how a 2PC [Prepare] exchange message carries its operations. *)
+
+val decode_op : Codec.reader -> op
+(** Inverse of {!encode_op}. @raise Codec.Truncated on malformed input. *)
 
 val store_name : string
 (** The {!Faultio} store the log lives in (["wal"]). *)

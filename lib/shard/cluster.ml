@@ -4,7 +4,7 @@
    executor's morsel ranges use — re-materialized into the node's own
    catalog so each node has a private memsim hierarchy, arena, and (when
    durable) WAL + snapshot in a private Faultio env.  The coordinator keeps
-   a separate env holding only the 2PC decision log.
+   a separate env holding only the 2PC decision log, itself a WAL.
 
    Scatter is setup work and runs untraced, exactly like loading a demo
    database: only query execution touches the simulated hierarchies. *)
@@ -30,14 +30,11 @@ type t = {
   nodes : node array;
   net : Netsim.t;
   coord : Faultio.t;
-  mutable coord_sink : Faultio.sink option;
+  mutable coord_sink : Wal.writer option;
   durable : bool;
   mutable next_txid : int;
   mutable next_tmp : int;
 }
-
-(* The Faultio store of the coordinator's decision log. *)
-let decision_store = "decisions"
 
 let shard_range ~shards ~shard n =
   let lo = shard * n / shards in
@@ -95,9 +92,7 @@ let create ?(durable = false) ?net_params ?envs ?coord_env ~shards cat =
   let coord =
     match coord_env with Some e -> e | None -> Faultio.memory ()
   in
-  let coord_sink =
-    if durable then Some (Faultio.create coord decision_store) else None
-  in
+  let coord_sink = if durable then Some (Wal.create coord) else None in
   {
     nodes;
     net = Netsim.create ?params:net_params ();
@@ -170,7 +165,7 @@ let close t =
       | None -> ())
     t.nodes;
   match t.coord_sink with
-  | Some s ->
-      Faultio.close s;
+  | Some w ->
+      Wal.close w;
       t.coord_sink <- None
   | None -> ()

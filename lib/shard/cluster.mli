@@ -6,7 +6,8 @@
     re-materialized into the node's own catalog, so each node has a private
     {!Memsim.Hierarchy.t}, arena, and (when durable) WAL + snapshot in a
     private {!Durability.Faultio} env.  The coordinator keeps a separate
-    env holding only the 2PC decision log. *)
+    env holding only the 2PC decision log, a {!Durability.Wal} of [Commit]
+    records. *)
 
 type node = {
   id : int;
@@ -19,9 +20,6 @@ type node = {
 }
 
 type t
-
-val decision_store : string
-(** Name of the coordinator's decision-log store inside its env. *)
 
 val shard_range : shards:int -> shard:int -> int -> (int * int)
 (** [(offset, length)] of a shard's slice of an [n]-row table. *)
@@ -50,7 +48,8 @@ val node : t -> int -> node
 val net : t -> Netsim.t
 val durable : t -> bool
 val coord_env : t -> Durability.Faultio.t
-val coord_sink : t -> Durability.Faultio.sink option
+val coord_sink : t -> Durability.Wal.writer option
+(** The coordinator's decision-log writer, when the cluster is durable. *)
 
 val set_down : t -> int -> bool -> unit
 (** Mark a node down/up (fault injection for {!Mrdb_util.Errors.Shard_unavailable} paths). *)
@@ -77,4 +76,4 @@ val digests : t -> string list
     order — the cross-check that recovery reconverges every node. *)
 
 val close : t -> unit
-(** Close per-node WAL writers and the coordinator sink. *)
+(** Close per-node WAL writers and the coordinator's decision log. *)

@@ -18,8 +18,11 @@ module Physical = Relalg.Physical
 
 let ceil_div a b = (a + b - 1) / b
 
-(* Wire bytes of one row of a plan's output: stored widths plus ~2 bytes of
-   tag/separator framing per value (the Exchange codec's overhead). *)
+(* Estimated wire bytes of one row of a plan's output: stored widths plus 2
+   bytes per value.  An estimate, not the Codec size: [Exchange] ships
+   varint ints, so a measured row is usually smaller.  The shuffle-vs-
+   broadcast choice compares estimates of the same kind, and [explain]
+   prints them, so the formula stays fixed while the codec changes. *)
 let row_bytes cat plan =
   let attrs = Physical.schema cat plan in
   Array.fold_left (fun acc a -> acc + Schema.stored_width a) 0 attrs

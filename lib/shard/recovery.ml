@@ -2,42 +2,29 @@
    transactions settled against the coordinator's decision log.
 
    Presumed abort: the coordinator logs only COMMIT decisions (one durable
-   newline-terminated [Exchange.Decide] line before phase 2 starts); a
-   prepared transaction with no decision line aborted.  A node's WAL can
-   therefore end with [Prepare txid] and nothing else — single-node
-   [Recover.run] would discard it, but here the decision log is consulted
-   first and the outcome appended to the node's log, so replay then applies
-   it like any locally-decided transaction.  A torn tail of the decision
-   log (no trailing newline) is an un-durable decision and reads as
-   absent. *)
+   [Wal.Commit] record in its own WAL before phase 2 starts); a prepared
+   transaction with no decision aborted.  A node's WAL can therefore end
+   with [Prepare txid] and nothing else — single-node [Recover.run] would
+   discard it, but here the decision log is consulted first and the
+   outcome appended to the node's log, so replay then applies it like any
+   locally-decided transaction.  A torn tail of the decision log is an
+   un-durable decision and reads as absent; a checksum-corrupt decision is
+   skipped, and the decisions after it still count (each is independent —
+   there is no replay order to protect). *)
 
 module Faultio = Durability.Faultio
 module Wal = Durability.Wal
 module Recover = Durability.Recover
 module Errors = Mrdb_util.Errors
 
-let log_decision sink ~txid ~commit =
-  Faultio.write sink (Exchange.encode (Exchange.Decide { txid; commit }) ^ "\n");
-  Faultio.flush sink
+let log_decision w ~txid =
+  Wal.write w (Wal.Commit txid);
+  Wal.flush w
 
 let decisions env =
-  match Faultio.read_all env Cluster.decision_store with
-  | None -> []
-  | Some buf ->
-      let lines = String.split_on_char '\n' (Bytes.to_string buf) in
-      (* the final split element is "" after a trailing newline and a torn
-         partial line otherwise; either way it is not a durable decision *)
-      let rec complete = function
-        | [] | [ _ ] -> []
-        | l :: rest -> l :: complete rest
-      in
-      List.filter_map
-        (fun l ->
-          match Exchange.parse l with
-          | Exchange.Decide { txid; commit } -> Some (txid, commit)
-          | _ -> None
-          | exception _ -> None)
-        (complete lines)
+  List.filter_map
+    (function Wal.Commit txid -> Some txid | _ -> None)
+    (Wal.scan env).Wal.records
 
 (* Prepared-but-undecided transaction ids in the clean prefix of a log. *)
 let in_doubt (scanned : Wal.scanned) =
@@ -64,12 +51,8 @@ let recover_node ?hier ?decisions:ds env =
     | Some ds ->
         List.map
           (fun txid ->
-            let committed =
-              match List.assoc_opt txid ds with
-              | Some c -> c
-              | None -> false (* presumed abort *)
-            in
-            { txid; committed })
+            (* presumed abort: no decision means aborted *)
+            { txid; committed = List.mem txid ds })
           doubts
     | None ->
         if doubts <> [] then
@@ -103,7 +86,7 @@ let recover_node ?hier ?decisions:ds env =
 
 type cluster_result = {
   results : Recover.result array;  (** per shard, in shard order *)
-  settled : (int * settled) list;  (** (shard, settlement) for in-doubt txns *)
+  settled : (int * settled) list;  (** (shard, settlement) for in-doubt transactions *)
 }
 
 let recover_cluster ?hier envs coord =

@@ -4,8 +4,9 @@
    message); a durable participant logs Begin / Op* / Prepare and flushes
    before voting — after that flush it may no longer abort unilaterally.
    The coordinator collects votes, makes the decision durable (presumed
-   abort: only COMMIT decisions are written, as one decision-log line,
-   before any participant learns the outcome), then phase 2 logs the
+   abort: only COMMIT decisions are written, as one [Commit] record in the
+   coordinator's decision-log WAL, before any participant learns the
+   outcome), then phase 2 logs the
    outcome on every participant and applies committed operations through
    [Recover.apply_op] — the same replay interpretation crash recovery
    uses, so live commit and post-crash replay cannot disagree.
@@ -108,7 +109,7 @@ let execute ?(vote = fun _ -> true) cl shard_ops =
       Faultio.point coord "2pc.coord.pre_decide";
       if commit then (
         match Cluster.coord_sink cl with
-        | Some sink -> Recovery.log_decision sink ~txid ~commit:true
+        | Some w -> Recovery.log_decision w ~txid
         | None -> ());
       Faultio.point coord "2pc.coord.decided"
     end;

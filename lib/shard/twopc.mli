@@ -1,9 +1,9 @@
 (** Two-phase commit over the per-shard WALs (presumed abort).
 
     A durable participant logs [Begin / Op* / Prepare] and flushes before
-    voting; the coordinator makes a COMMIT decision durable (one decision-
-    log line via {!Recovery.log_decision}) before any participant learns
-    the outcome; phase 2 logs [Commit]/[Abort] per participant and applies
+    voting; the coordinator makes a COMMIT decision durable (one [Commit]
+    record in its decision-log WAL via {!Recovery.log_decision}) before any
+    participant learns the outcome; phase 2 logs [Commit]/[Abort] per participant and applies
     committed operations through {!Durability.Recover.apply_op} — the same
     replay interpretation crash recovery uses.
 

@@ -183,8 +183,61 @@ let execute srv session (req : Wire.request) : Wire.reply option =
             (Unix.gettimeofday () -. session.txn_started);
           Some (Wire.Ok_ (string_of_int ts)))
 
+(* Longest request line the server reads.  A client past it gets
+   [ERR BAD_REQUEST] and is disconnected, so one connection cannot make the
+   server buffer without bound. *)
+let max_request_bytes = 1 lsl 20
+
+exception Request_too_long
+
+(* A connection's request reader: bytes received but not yet returned as
+   part of a line are [buf.[pos .. len)]. *)
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
+(* A signal landing in read(2) is not the client's doing: retry. *)
+let rec refill rd =
+  try Unix.read rd.fd rd.buf 0 (Bytes.length rd.buf)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> refill rd
+
+(* [input_line] with a length bound: the next line without its newline, or
+   a final unterminated line at end of input. *)
+let read_request rd =
+  let line = Buffer.create 128 in
+  let rec go () =
+    if rd.pos = rd.len then begin
+      rd.pos <- 0;
+      rd.len <- refill rd
+    end;
+    if rd.len = 0 then
+      if Buffer.length line > 0 then Buffer.contents line
+      else raise End_of_file
+    else begin
+      let stop = ref rd.pos in
+      while !stop < rd.len && Bytes.get rd.buf !stop <> '\n' do
+        incr stop
+      done;
+      if Buffer.length line + (!stop - rd.pos) > max_request_bytes then
+        raise Request_too_long;
+      Buffer.add_subbytes line rd.buf rd.pos (!stop - rd.pos);
+      if !stop < rd.len then begin
+        rd.pos <- !stop + 1;
+        Buffer.contents line
+      end
+      else begin
+        rd.pos <- rd.len;
+        go ()
+      end
+    end
+  in
+  go ()
+
 let handle_client srv fd =
-  let ic = Unix.in_channel_of_descr fd in
+  let rd = { fd; buf = Bytes.create 65536; pos = 0; len = 0 } in
   let oc = Unix.out_channel_of_descr fd in
   let session = { client_id = "anon"; txn = None; txn_started = 0.0 } in
   let send reply =
@@ -193,8 +246,17 @@ let handle_client srv fd =
     flush oc
   in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
+    match read_request rd with
+    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
+    | exception Request_too_long ->
+        send
+          (Wire.Err
+             {
+               tag = "BAD_REQUEST";
+               msg =
+                 Printf.sprintf "request line longer than %d bytes"
+                   max_request_bytes;
+             })
     | line ->
         Obs.Metrics.incr m_requests;
         let continue =
@@ -252,7 +314,10 @@ let handle_client srv fd =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Atomic.decr srv.active;
       Obs.Metrics.set m_active_clients (float_of_int (Atomic.get srv.active)))
-    loop
+    (fun () ->
+      (* a reply to a client that hung up fails with EPIPE: that ends this
+         connection only *)
+      try loop () with Sys_error _ -> ())
 
 let shed fd max_clients =
   Obs.Metrics.incr m_shed;

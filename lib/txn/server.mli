@@ -6,7 +6,8 @@
     [ERR TIMEOUT]; commits carry client tokens and the server caches each
     client's last committed one, so a reconnecting client re-sending a
     COMMIT whose reply was lost gets the original timestamp instead of a
-    double-apply. *)
+    double-apply.  A request line longer than 1 MiB gets [ERR BAD_REQUEST]
+    and the connection is closed. *)
 
 type t
 

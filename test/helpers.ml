@@ -9,6 +9,12 @@ let row_testable = Alcotest.array value_testable
 
 let check_rows = Alcotest.check (Alcotest.list row_testable)
 
+(* Ints where the Codec varint encoding changes length or sign handling;
+   codec round-trip generators mix them into their value ranges. *)
+let varint_edges =
+  [ min_int; max_int; 0; 1; -1; 63; -63; 64; -64; 127; -127; 128; -128;
+    (1 lsl 14) - 1; (1 lsl 14) + 1; -((1 lsl 14) - 1); -((1 lsl 14) + 1) ]
+
 (* A small mixed-type table with deterministic contents. *)
 let small_schema =
   Storage.Schema.make "t"

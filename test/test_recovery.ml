@@ -16,6 +16,7 @@ module Layout = Storage.Layout
 module Schema = Storage.Schema
 module Encoding = Storage.Encoding
 module F = Durability.Faultio
+module Codec = Durability.Codec
 module D = Durability.Durable
 module Wal = Durability.Wal
 module Snapshot = Durability.Snapshot
@@ -173,6 +174,99 @@ let test_corrupt_snapshot () =
   ignore dg;
   ignore marks
 
+(* A record from another format can pass its CRC and still leave payload
+   bytes after the last field this format reads.  Such a record must not
+   decode into wrong values: it is skipped with a warning, and the rest of
+   the log is tainted exactly as after a checksum mismatch. *)
+(* A log of two committed transactions with [payload] framed, CRC and all,
+   between them; the scan of it. *)
+let scan_around payload =
+  let env = F.memory () in
+  let w = Wal.create env in
+  List.iter (Wal.write w) [ Wal.Begin 1; Wal.Commit 1 ];
+  Wal.close w;
+  let hdr = Codec.writer () in
+  Codec.u32 hdr (String.length payload);
+  Codec.u32 hdr (Durability.Checksum.string payload);
+  let sink = F.append env Wal.store_name in
+  F.write sink (Codec.contents hdr ^ payload);
+  F.close sink;
+  let w = Wal.append env in
+  List.iter (Wal.write w) [ Wal.Begin 2; Wal.Commit 2 ];
+  Wal.close w;
+  Wal.scan env
+
+let check_skipped what (s : Wal.scanned) =
+  Alcotest.(check bool) (what ^ ": warned about") true (s.Wal.warnings <> []);
+  Alcotest.(check int) (what ^ ": skipped") 4 (List.length s.Wal.records);
+  Alcotest.(check int) (what ^ ": the log is clean only before it") 2
+    s.Wal.clean
+
+let test_wal_trailing_bytes () =
+  let payload = Wal.encode (Wal.Commit 5) ^ "\x00" in
+  check_skipped "trailing byte" (scan_around payload);
+  Alcotest.(check bool) "trailing bytes fail decode_string too" true
+    (match Wal.decode_string payload with
+    | _ -> false
+    | exception Codec.Truncated _ -> true);
+  let snap = Snapshot.serialize_payload ~last_txid:1 (Catalog.create ()) in
+  Alcotest.(check bool) "a snapshot payload with trailing bytes is rejected"
+    true
+    (match Snapshot.deserialize_payload (snap ^ "\x00") with
+    | _ -> false
+    | exception Codec.Truncated _ -> true)
+
+(* Varints: boundary values round-trip at their documented sizes, and a
+   malformed varint raises rather than looping or wrapping. *)
+(* An unknown encoding code inside a CRC-valid record is malformed input
+   like any other: skipped with a warning, never an exception out of the
+   scan (which recovery relies on never raising). *)
+let test_wal_unknown_encoding () =
+  let payload =
+    Wal.encode
+      (Wal.Op
+         {
+           txid = 3;
+           op =
+             Wal.Set_physical
+               { table = "t"; layout = [ [ 0 ] ]; encodings = [ (0, Encoding.Dict) ] };
+         })
+  in
+  (* the encoding code is the payload's last byte *)
+  let bad = String.sub payload 0 (String.length payload - 1) ^ "\x63" in
+  check_skipped "unknown encoding code" (scan_around bad)
+
+let test_varint_edges () =
+  let enc f v =
+    let w = Codec.writer () in
+    f w v;
+    Codec.contents w
+  in
+  let dec f s = f (Codec.reader (Bytes.of_string s)) in
+  List.iter
+    (fun (v, size) ->
+      let s = enc Codec.var v in
+      Alcotest.(check int) (Printf.sprintf "var %d size" v) size (String.length s);
+      Alcotest.(check int) (Printf.sprintf "var %d round-trips" v) v (dec Codec.rvar s))
+    [ (0, 1); (1, 1); (-1, 1); (63, 1); (-64, 1); (64, 2); (-65, 2);
+      (8191, 2); (8192, 3); (min_int, 9); (max_int, 9) ];
+  List.iter
+    (fun (v, size) ->
+      let s = enc Codec.uvar v in
+      Alcotest.(check int) (Printf.sprintf "uvar %d size" v) size (String.length s);
+      Alcotest.(check int) (Printf.sprintf "uvar %d round-trips" v) v (dec Codec.ruvar s))
+    [ (0, 1); (127, 1); (128, 2); ((1 lsl 14) - 1, 2); (1 lsl 14, 3);
+      ((1 lsl 14) + 1, 3); (max_int, 9); (-1, 9); (min_int, 9) ];
+  let raises what s =
+    Alcotest.(check bool) what true
+      (match dec Codec.ruvar s with
+      | _ -> false
+      | exception Codec.Truncated _ -> true)
+  in
+  raises "truncated varint" (String.sub (enc Codec.uvar 300) 0 1);
+  raises "empty input" "";
+  raises "10 bytes all with the continuation bit" (String.make 10 '\xff')
+
 let test_missing_everything () =
   let env = F.memory () in
   let r = Recover.run env in
@@ -309,11 +403,12 @@ let test_seeded_soak () =
 
 let gen_value ty : V.t QCheck.Gen.t =
   let open QCheck.Gen in
+  let edgy g = oneof [ g; oneofl Helpers.varint_edges ] in
   match (ty : V.ty) with
-  | V.Int -> map (fun i -> V.VInt i) (int_range (-1_000_000) 1_000_000)
+  | V.Int -> map (fun i -> V.VInt i) (edgy (int_range (-1_000_000) 1_000_000))
   | V.Float -> map (fun f -> V.VFloat f) (float_bound_inclusive 1e6)
   | V.Bool -> map (fun b -> V.VBool b) bool
-  | V.Date -> map (fun d -> V.VDate d) (int_range 0 40_000)
+  | V.Date -> map (fun d -> V.VDate d) (edgy (int_range 0 40_000))
   | V.Varchar n ->
       map (fun s -> V.VStr s) (string_size ~gen:printable (int_range 0 n))
 
@@ -428,7 +523,7 @@ let gen_op : Wal.op QCheck.Gen.t =
   let* groups = gen_groups (Schema.arity schema) in
   let* encodings = gen_encodings schema groups in
   let* row = gen_row schema in
-  let* tid = int_range 0 1000 in
+  let* tid = oneof [ int_range 0 1000; oneofl [ 127; 128; max_int ] ] in
   oneofl
     [
       Wal.Create_relation { table = "w"; schema; layout = groups; encodings };
@@ -443,7 +538,7 @@ let gen_op : Wal.op QCheck.Gen.t =
 
 let gen_record : Wal.record QCheck.Gen.t =
   let open QCheck.Gen in
-  let* txid = int_range 0 100_000 in
+  let* txid = oneof [ int_range 0 100_000; oneofl [ 0; 127; 128; max_int ] ] in
   let* op = gen_op in
   oneofl
     [ Wal.Begin txid; Wal.Commit txid; Wal.Abort txid; Wal.Op { txid; op } ]
@@ -507,6 +602,12 @@ let suite =
       test_corrupt_wal_record;
     Alcotest.test_case "corrupt snapshot tolerated" `Quick
       test_corrupt_snapshot;
+    Alcotest.test_case "wal record with trailing bytes skipped" `Quick
+      test_wal_trailing_bytes;
+    Alcotest.test_case "wal record with unknown encoding skipped" `Quick
+      test_wal_unknown_encoding;
+    Alcotest.test_case "varint edges and malformed varints" `Quick
+      test_varint_edges;
     Alcotest.test_case "recovery from nothing" `Quick test_missing_everything;
     Alcotest.test_case "crash points inside advisor reorganization" `Slow
       test_advisor_repartition_crash_points;

@@ -658,6 +658,62 @@ let test_server_idempotent_commit () =
       M.snapshot mgr (fun s ->
           Alcotest.(check int) "applied exactly once" 5 (vint (M.read s "b" 0 1))))
 
+(* Serve one socketpair connection with [handle_client] in its own domain
+   while [f] drives the client end, then close the client end and report
+   how the handler ended.  SIGPIPE is ignored, as mrdb_server does, so a
+   reply written to a vanished peer fails with EPIPE instead of killing
+   the test process. *)
+let with_raw_connection f =
+  let srv = S.create (M.create (small_cat ())) in
+  let client, server = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let prev = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let dom =
+    Domain.spawn (fun () ->
+        match S.handle_client srv server with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  let raised =
+    Fun.protect
+      ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev)
+      (fun () ->
+        Fun.protect ~finally:(fun () -> Unix.close client) (fun () -> f client);
+        Domain.join dom)
+  in
+  Alcotest.(check (option string)) "the handler returns normally" None raised
+
+let send_overlong_line fd =
+  let line = Bytes.make ((1 lsl 20) + 1) 'x' in
+  ignore (Unix.write fd line 0 (Bytes.length line))
+
+(* A client that sends an endless request line must not make the server
+   buffer without bound: past 1 MiB the server replies BAD_REQUEST and
+   hangs up.  A receive timeout is the watchdog. *)
+let test_server_request_line_bound () =
+  with_raw_connection (fun client ->
+      Unix.setsockopt_float client Unix.SO_RCVTIMEO 10.;
+      send_overlong_line client;
+      let ic = Unix.in_channel_of_descr client in
+      (match input_line ic with
+      | reply ->
+          Alcotest.(check bool) ("BAD_REQUEST reply: " ^ reply) true
+            (String.starts_with ~prefix:"ERR BAD_REQUEST" reply)
+      | exception (Sys_error _ | Sys_blocked_io | End_of_file) ->
+          Alcotest.fail "no reply within 10 s");
+      Alcotest.(check bool) "connection closed after the reply" true
+        (match input_line ic with
+        | _ -> false
+        | exception End_of_file -> true
+        | exception (Sys_error _ | Sys_blocked_io) -> false))
+
+(* A client that stops reading before its reply costs only its own
+   connection: the failed write ends the handler quietly instead of
+   escaping into the accept loop's domain join. *)
+let test_server_client_hangs_up () =
+  with_raw_connection (fun client ->
+      Unix.shutdown client Unix.SHUTDOWN_RECEIVE;
+      send_overlong_line client)
+
 (* ------------------------------------------------------------------ *)
 (* Advisor repartition racing live transactions                       *)
 (* ------------------------------------------------------------------ *)
@@ -765,6 +821,10 @@ let suite =
       test_server_signal_during_accept;
     Alcotest.test_case "server: idempotent commit token" `Quick
       test_server_idempotent_commit;
+    Alcotest.test_case "server: over-long request line rejected" `Quick
+      test_server_request_line_bound;
+    Alcotest.test_case "server: client hanging up ends only its connection"
+      `Quick test_server_client_hangs_up;
     Alcotest.test_case "advisor repartition races live transactions" `Quick
       test_advisor_repartition_races_mvcc;
   ]
